@@ -15,8 +15,8 @@ use crate::counters::TABLE4_COUNTERS;
 use crate::experiments::evaluate_model_on_corpus;
 use crate::paired::CorpusTelemetry;
 use crate::train::{
-    featurize_windows, tune_threshold, Featurizer, ModelKind, TrainedAdaptModel,
-    THRESHOLD_TARGET_RSV,
+    build_standard_dataset, featurize_windows, tune_threshold, Featurizer, ModelKind,
+    TrainedAdaptModel, THRESHOLD_TARGET_RSV,
 };
 use crate::zoo;
 use psca_cpu::Mode;
@@ -70,12 +70,10 @@ pub fn half_forest_config() -> RandomForestConfig {
 /// applications.
 pub fn train_hdtr_halves(cfg: &ExperimentConfig, hdtr: &CorpusTelemetry, g: usize) -> HdtrHalves {
     let events = TABLE4_COUNTERS.to_vec();
-    let raw_hi = crate::train::build_dataset(hdtr, Mode::HighPerf, &events, g, &cfg.training_sla());
-    let raw_lo = crate::train::build_dataset(hdtr, Mode::LowPower, &events, g, &cfg.training_sla());
-    let feat_hi = crate::train::fit_standard_featurizer(&events, &raw_hi);
-    let feat_lo = crate::train::fit_standard_featurizer(&events, &raw_lo);
-    let data_hi = featurize_windows(&feat_hi, hdtr, Mode::HighPerf, g, &cfg.training_sla());
-    let data_lo = featurize_windows(&feat_lo, hdtr, Mode::LowPower, g, &cfg.training_sla());
+    let (feat_hi, data_hi) =
+        build_standard_dataset(hdtr, Mode::HighPerf, &events, g, &cfg.training_sla());
+    let (feat_lo, data_lo) =
+        build_standard_dataset(hdtr, Mode::LowPower, &events, g, &cfg.training_sla());
     let half = half_forest_config();
     HdtrHalves {
         rf_hi: RandomForest::fit(&half, &data_hi, cfg.sub_seed("ps-hi")),

@@ -320,25 +320,57 @@ pub fn tune_threshold(
 /// (the paper keeps tuning-set SLA violations below 1%, §6.3).
 pub const THRESHOLD_TARGET_RSV: f64 = 0.01;
 
-/// Fits a standard featurizer (standardizer) on tuning data.
-pub fn fit_standard_featurizer(events: &[Event], tuning: &Dataset) -> Featurizer {
-    Featurizer::Standard {
+/// Builds [`build_dataset`]'s aggregated-counter dataset, fits a
+/// standardizer on it and standardizes it in place: the model-ready
+/// dataset and the featurizer that reproduces its rows from telemetry.
+pub fn build_standard_dataset(
+    corpus: &CorpusTelemetry,
+    mode: Mode,
+    events: &[Event],
+    granularity: usize,
+    sla: &Sla,
+) -> (Featurizer, Dataset) {
+    let mut data = build_dataset(corpus, mode, events, granularity, sla);
+    let standardizer = Standardizer::fit(&data);
+    data.standardize(&standardizer);
+    let feat = Featurizer::Standard {
         events: events.to_vec(),
-        standardizer: Standardizer::fit(tuning),
-    }
+        standardizer,
+    };
+    (feat, data)
 }
 
-/// Fits a histogram featurizer on tuning windows (10 buckets, as Dubach
-/// et al. use).
-pub fn fit_histogram_featurizer(events: &[Event], tuning_windows: &[Vec<Vec<f64>>]) -> Featurizer {
-    let all_rows: Vec<&[f64]> = tuning_windows
+/// Builds [`build_hist_windows`]' windows, fits a histogram featurizer
+/// on their rows (10 buckets, as Dubach et al. use) and histograms each
+/// window: the model-ready dataset and the featurizer that reproduces
+/// its rows from telemetry.
+pub fn build_histogram_dataset(
+    corpus: &CorpusTelemetry,
+    mode: Mode,
+    events: &[Event],
+    granularity: usize,
+    sla: &Sla,
+) -> (Featurizer, Dataset) {
+    let (windows, labels, groups) = build_hist_windows(corpus, mode, events, granularity, sla);
+    let all_rows: Vec<&[f64]> = windows
         .iter()
         .flat_map(|w| w.iter().map(|r| r.as_slice()))
         .collect();
-    Featurizer::Histogram {
+    let featurizer = HistogramFeaturizer::fit(&all_rows, 10);
+    let rows: Vec<Vec<f64>> = windows
+        .iter()
+        .map(|w| {
+            let refs: Vec<&[f64]> = w.iter().map(|r| r.as_slice()).collect();
+            featurizer.featurize(&refs)
+        })
+        .collect();
+    let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
+    let data = Dataset::new(Matrix::from_rows(&refs), labels, groups);
+    let feat = Featurizer::Histogram {
         events: events.to_vec(),
-        featurizer: HistogramFeaturizer::fit(&all_rows, 10),
-    }
+        featurizer,
+    };
+    (feat, data)
 }
 
 /// Applies a featurizer to a sample list, producing a model-ready matrix.

@@ -5,9 +5,8 @@ use crate::config::ExperimentConfig;
 use crate::counters::{CHARSTAR_COUNTERS, SRCH_COUNTERS, TABLE4_COUNTERS};
 use crate::paired::CorpusTelemetry;
 use crate::train::{
-    build_dataset, build_hist_windows, featurize_windows, fit_histogram_featurizer,
-    fit_standard_featurizer, tune_threshold, violation_window, Featurizer, ModelKind,
-    TrainedAdaptModel, THRESHOLD_TARGET_RSV,
+    build_histogram_dataset, build_standard_dataset, featurize_windows, tune_threshold,
+    violation_window, Featurizer, ModelKind, TrainedAdaptModel, THRESHOLD_TARGET_RSV,
 };
 use psca_cpu::Mode;
 use psca_ml::{
@@ -149,9 +148,8 @@ fn train_mode(
 ) -> (Featurizer, FirmwareModel) {
     match kind {
         ModelKind::SrchFine | ModelKind::SrchCoarse => {
-            let (windows, _, _) = build_hist_windows(corpus, mode, events, g, &cfg.training_sla());
-            let feat = fit_histogram_featurizer(events, &windows);
-            let data = featurize_windows(&feat, corpus, mode, g, &cfg.training_sla());
+            let (feat, data) =
+                build_histogram_dataset(corpus, mode, events, g, &cfg.training_sla());
             let (fit_set, cal_set) = calibration_split(&data, cfg);
             let lr = LogisticRegression::fit(&fit_set, 1e-4, 150);
             let mut fw = FirmwareModel::Logistic(lr);
@@ -165,9 +163,7 @@ fn train_mode(
             (feat, fw)
         }
         _ => {
-            let raw = build_dataset(corpus, mode, events, g, &cfg.training_sla());
-            let feat = fit_standard_featurizer(events, &raw);
-            let data = featurize_windows(&feat, corpus, mode, g, &cfg.training_sla());
+            let (feat, data) = build_standard_dataset(corpus, mode, events, g, &cfg.training_sla());
             let (fit_set, cal_set) = calibration_split(&data, cfg);
             let mut fw = match kind {
                 ModelKind::BestRf => FirmwareModel::Forest(RandomForest::fit(
@@ -240,9 +236,7 @@ pub fn train_custom_mlp(
     };
     let mut per_mode = Vec::with_capacity(2);
     for mode in [Mode::HighPerf, Mode::LowPower] {
-        let raw = build_dataset(corpus, mode, events, g, &cfg.training_sla());
-        let feat = fit_standard_featurizer(events, &raw);
-        let data = featurize_windows(&feat, corpus, mode, g, &cfg.training_sla());
+        let (feat, data) = build_standard_dataset(corpus, mode, events, g, &cfg.training_sla());
         let mut fw = FirmwareModel::Mlp(Mlp::fit(&mlp_cfg, &data, seed ^ mode_tag(mode)));
         tune_threshold(
             &mut fw,

@@ -104,6 +104,16 @@ impl Dataset {
         Dataset::new(m, self.labels.clone(), self.groups.clone())
     }
 
+    /// Applies a fitted standardizer to every feature row in place.
+    ///
+    /// # Panics
+    /// Panics if dimensionality differs from the standardizer's.
+    pub fn standardize(&mut self, standardizer: &Standardizer) {
+        for r in 0..self.len() {
+            standardizer.transform(self.features.row_mut(r));
+        }
+    }
+
     /// Distinct group ids in first-appearance order.
     pub fn distinct_groups(&self) -> Vec<u32> {
         let mut seen = std::collections::HashSet::new();
@@ -195,11 +205,9 @@ impl Standardizer {
 
     /// Returns a transformed copy of a dataset.
     pub fn transform_dataset(&self, data: &Dataset) -> Dataset {
-        let mut m = data.features().clone();
-        for r in 0..m.rows() {
-            self.transform(m.row_mut(r));
-        }
-        Dataset::new(m, data.labels().to_vec(), data.groups().to_vec())
+        let mut out = data.clone();
+        out.standardize(self);
+        out
     }
 }
 

@@ -35,7 +35,8 @@ impl LogisticRegression {
         let d = data.dim();
         // Parameter vector: [weights..., bias].
         let mut theta = vec![0.0; d + 1];
-        let f_g = |theta: &[f64]| loss_grad(data, theta, l2);
+        let rows = SparseRows::new(data);
+        let f_g = |theta: &[f64]| loss_grad(&rows, theta, l2);
         lbfgs(&mut theta, f_g, max_iters, 8);
         LogisticRegression {
             weights: theta[..d].to_vec(),
@@ -93,22 +94,72 @@ fn sigmoid(z: f64) -> f64 {
     1.0 / (1.0 + (-z).exp())
 }
 
+/// A dataset's rows as their nonzero `(index, value)` pairs, in
+/// ascending index order, with the labels. SRCH's histogram rows are
+/// mostly zero buckets; built once per fit, this view lets every loss
+/// evaluation skip them.
+struct SparseRows<'a> {
+    dim: usize,
+    /// Row `i`'s pairs are `index[start[i]..start[i + 1]]` and the same
+    /// range of `value`.
+    start: Vec<usize>,
+    index: Vec<usize>,
+    value: Vec<f64>,
+    labels: &'a [u8],
+}
+
+impl<'a> SparseRows<'a> {
+    fn new(data: &'a Dataset) -> SparseRows<'a> {
+        let mut start = Vec::with_capacity(data.len() + 1);
+        let (mut index, mut value) = (Vec::new(), Vec::new());
+        start.push(0);
+        for i in 0..data.len() {
+            for (j, &v) in data.sample(i).0.iter().enumerate() {
+                if v != 0.0 {
+                    index.push(j);
+                    value.push(v);
+                }
+            }
+            start.push(index.len());
+        }
+        SparseRows {
+            dim: data.dim(),
+            start,
+            index,
+            value,
+            labels: data.labels(),
+        }
+    }
+
+    fn row(&self, i: usize) -> (&[usize], &[f64]) {
+        let span = self.start[i]..self.start[i + 1];
+        (&self.index[span.clone()], &self.value[span])
+    }
+}
+
 /// Mean log-loss and its gradient over the dataset (bias unregularized).
-fn loss_grad(data: &Dataset, theta: &[f64], l2: f64) -> (f64, Vec<f64>) {
-    let d = data.dim();
-    let n = data.len() as f64;
+///
+/// Bit-identical to the dense sums over every feature: each sum visits
+/// the nonzero terms in ascending index order, and a skipped term
+/// `theta[j] * 0.0` or `e * 0.0` is a zero, whose addition changes no
+/// finite sum (at most the sign of a zero dot product, which no output
+/// depends on).
+fn loss_grad(rows: &SparseRows, theta: &[f64], l2: f64) -> (f64, Vec<f64>) {
+    let d = rows.dim;
+    let n = rows.labels.len() as f64;
     let mut loss = 0.0;
     let mut grad = vec![0.0; d + 1];
-    for i in 0..data.len() {
-        let (x, y) = data.sample(i);
-        let z = crate::linalg::dot(&theta[..d], x) + theta[d];
+    for (i, &y) in rows.labels.iter().enumerate() {
+        let (index, value) = rows.row(i);
+        let dot: f64 = index.iter().zip(value).map(|(&j, &x)| theta[j] * x).sum();
+        let z = dot + theta[d];
         let p = sigmoid(z);
         let yf = y as f64;
         // Numerically-stable BCE.
         loss += softplus(z) - yf * z;
         let e = p - yf;
-        for (g, &xi) in grad[..d].iter_mut().zip(x) {
-            *g += e * xi;
+        for (&j, &x) in index.iter().zip(value) {
+            grad[j] += e * x;
         }
         grad[d] += e;
     }
@@ -134,14 +185,17 @@ fn softplus(z: f64) -> f64 {
 }
 
 /// Minimizes `f` with L-BFGS (two-loop recursion) and Armijo backtracking.
+/// `f` returns the loss and its gradient; it is evaluated once at the
+/// start and once per line-search trial. Returns the number of trials.
 fn lbfgs<F: Fn(&[f64]) -> (f64, Vec<f64>)>(
     theta: &mut [f64],
     f: F,
     max_iters: usize,
     history: usize,
-) {
+) -> usize {
     let n = theta.len();
     let (mut loss, mut grad) = f(theta);
+    let mut trials = 0;
     let mut s_list: Vec<Vec<f64>> = Vec::new();
     let mut y_list: Vec<Vec<f64>> = Vec::new();
     for _ in 0..max_iters {
@@ -189,22 +243,23 @@ fn lbfgs<F: Fn(&[f64]) -> (f64, Vec<f64>)>(
         }
         let mut step = 1.0;
         let mut new_theta = vec![0.0; n];
-        let mut accepted = false;
+        let mut accepted = None;
         for _ in 0..30 {
             for i in 0..n {
                 new_theta[i] = theta[i] + step * dir[i];
             }
-            let (nl, _) = f(&new_theta);
-            if nl <= loss + 1e-4 * step * slope {
-                accepted = true;
+            let trial = f(&new_theta);
+            trials += 1;
+            if trial.0 <= loss + 1e-4 * step * slope {
+                accepted = Some(trial);
                 break;
             }
             step *= 0.5;
         }
-        if !accepted {
+        // The accepted trial's gradient is the new point's gradient.
+        let Some((nl, ng)) = accepted else {
             break;
-        }
-        let (nl, ng) = f(&new_theta);
+        };
         let s: Vec<f64> = (0..n).map(|i| new_theta[i] - theta[i]).collect();
         let y: Vec<f64> = (0..n).map(|i| ng[i] - grad[i]).collect();
         if crate::linalg::dot(&s, &y) > 1e-12 {
@@ -219,6 +274,7 @@ fn lbfgs<F: Fn(&[f64]) -> (f64, Vec<f64>)>(
         loss = nl;
         grad = ng;
     }
+    trials
 }
 
 #[cfg(test)]
@@ -269,22 +325,43 @@ mod tests {
         assert!(n_tight < n_loose, "{n_tight} !< {n_loose}");
     }
 
+    /// f(x) = (x0-3)^2 + 10 (x1+1)^2 and its gradient.
+    fn quadratic(x: &[f64]) -> (f64, Vec<f64>) {
+        let f = (x[0] - 3.0).powi(2) + 10.0 * (x[1] + 1.0).powi(2);
+        let g = vec![2.0 * (x[0] - 3.0), 20.0 * (x[1] + 1.0)];
+        (f, g)
+    }
+
     #[test]
     fn lbfgs_minimizes_quadratic() {
-        // f(x) = (x0-3)^2 + 10 (x1+1)^2
         let mut x = vec![0.0, 0.0];
-        lbfgs(
-            &mut x,
-            |x| {
-                let f = (x[0] - 3.0).powi(2) + 10.0 * (x[1] + 1.0).powi(2);
-                let g = vec![2.0 * (x[0] - 3.0), 20.0 * (x[1] + 1.0)];
-                (f, g)
-            },
-            100,
-            8,
-        );
+        lbfgs(&mut x, quadratic, 100, 8);
         assert!((x[0] - 3.0).abs() < 1e-5, "{x:?}");
         assert!((x[1] + 1.0).abs() < 1e-5, "{x:?}");
+    }
+
+    #[test]
+    fn lbfgs_evaluates_once_per_trial() {
+        let evals = std::cell::Cell::new(0);
+        let mut x = vec![0.0, 0.0];
+        let counted = |x: &[f64]| {
+            evals.set(evals.get() + 1);
+            quadratic(x)
+        };
+        let trials = lbfgs(&mut x, counted, 100, 8);
+        assert!(trials > 1, "{trials} trials");
+        // The initial point, then each trial; never the accepted point again.
+        assert_eq!(evals.get(), 1 + trials);
+    }
+
+    #[test]
+    fn sparse_rows_keep_nonzeros_in_order() {
+        let x = Matrix::from_rows(&[&[0.0, 2.0, 0.0, -1.0], &[0.0; 4], &[3.0, 0.0, 0.0, 0.5]]);
+        let data = Dataset::new(x, vec![0, 1, 1], vec![0; 3]);
+        let rows = SparseRows::new(&data);
+        assert_eq!(rows.row(0), (&[1, 3][..], &[2.0, -1.0][..]));
+        assert_eq!(rows.row(1), (&[][..], &[][..]));
+        assert_eq!(rows.row(2), (&[0, 3][..], &[3.0, 0.5][..]));
     }
 
     #[test]

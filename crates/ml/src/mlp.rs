@@ -3,7 +3,7 @@
 //! MLP adaptation models are (§5, §7).
 
 use crate::dataset::Dataset;
-use crate::linalg::Matrix;
+use crate::linalg::{dot, Matrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -112,9 +112,13 @@ impl Mlp {
     /// Trains an MLP on the dataset.
     ///
     /// # Panics
-    /// Panics if the dataset is empty.
+    /// Panics if the dataset is empty or `cfg.batch_size` is zero.
     pub fn fit(cfg: &MlpConfig, data: &Dataset, seed: u64) -> Mlp {
         assert!(!data.is_empty(), "cannot train on an empty dataset");
+        assert!(
+            cfg.batch_size > 0,
+            "MlpConfig::batch_size must be at least 1"
+        );
         let _span = psca_obs::SpanTimer::start("ml.mlp.fit");
         let mut rng = StdRng::seed_from_u64(seed);
         let mut dims = vec![data.dim()];
@@ -129,11 +133,12 @@ impl Mlp {
             threshold: 0.5,
             adam_t: 0,
         };
+        let mut scratch = TrainScratch::new(&mlp.layers);
         let mut order: Vec<usize> = (0..data.len()).collect();
         for _ in 0..cfg.epochs {
             order.shuffle(&mut rng);
             for chunk in order.chunks(cfg.batch_size) {
-                mlp.train_batch(cfg, data, chunk);
+                mlp.train_batch(cfg, data, chunk, &mut scratch);
             }
         }
         mlp
@@ -219,8 +224,7 @@ impl Mlp {
     /// # Panics
     /// Panics if `x` has wrong dimensionality.
     pub fn predict_proba(&self, x: &[f64]) -> f64 {
-        let (acts, _) = self.forward(x);
-        sigmoid(acts.last().unwrap()[0])
+        sigmoid(self.forward_into(x, &mut Activations::new(&self.layers)))
     }
 
     /// Thresholded prediction.
@@ -228,95 +232,160 @@ impl Mlp {
         self.predict_proba(x) >= self.threshold
     }
 
-    /// Forward pass returning pre-activations (`z`) and activations.
-    fn forward(&self, x: &[f64]) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-        let mut zs = Vec::with_capacity(self.layers.len());
-        let mut activations = Vec::with_capacity(self.layers.len() + 1);
-        activations.push(x.to_vec());
-        let mut cur = x.to_vec();
+    /// Forward pass into `acts`, returning the output logit (the head is
+    /// linear; the sigmoid is applied by the caller).
+    ///
+    /// # Panics
+    /// Panics if `x` has wrong dimensionality.
+    fn forward_into(&self, x: &[f64], acts: &mut Activations) -> f64 {
+        assert_eq!(x.len(), self.layers[0].w.cols(), "dimension mismatch");
+        let last = self.layers.len() - 1;
         for (li, layer) in self.layers.iter().enumerate() {
-            let mut z = layer.w.matvec(&cur);
-            for (zi, bi) in z.iter_mut().zip(&layer.b) {
-                *zi += bi;
+            let (below, rest) = acts.hidden.split_at_mut(li);
+            let input = if li == 0 { x } else { &below[li - 1] };
+            let z = &mut acts.zs[li];
+            for (r, (zr, &b)) in z.iter_mut().zip(&layer.b).enumerate() {
+                *zr = dot(layer.w.row(r), input) + b;
             }
-            let last = li == self.layers.len() - 1;
-            let a: Vec<f64> = if last {
-                z.clone() // linear head; sigmoid applied in the loss
-            } else {
-                z.iter().map(|&v| v.max(0.0)).collect()
-            };
-            zs.push(z);
-            activations.push(a.clone());
-            cur = a;
+            if li < last {
+                for (a, &v) in rest[0].iter_mut().zip(z.iter()) {
+                    *a = v.max(0.0);
+                }
+            }
         }
-        (zs, activations)
+        acts.zs[last][0]
     }
 
-    fn train_batch(&mut self, cfg: &MlpConfig, data: &Dataset, idx: &[usize]) {
+    /// One Adam step on the mean gradient of the samples `idx`. Allocates
+    /// nothing: every per-sample and per-batch buffer is in `s`, which it
+    /// leaves ready for the next batch.
+    fn train_batch(
+        &mut self,
+        cfg: &MlpConfig,
+        data: &Dataset,
+        idx: &[usize],
+        s: &mut TrainScratch,
+    ) {
         let nl = self.layers.len();
-        let mut grads_w: Vec<Matrix> = self
-            .layers
-            .iter()
-            .map(|l| Matrix::zeros(l.w.rows(), l.w.cols()))
-            .collect();
-        let mut grads_b: Vec<Vec<f64>> = self.layers.iter().map(|l| vec![0.0; l.b.len()]).collect();
         for &i in idx {
             let (x, y) = data.sample(i);
-            let (zs, acts) = self.forward(x);
+            let out = self.forward_into(x, &mut s.acts);
             // BCE with logits: dL/dz_out = sigmoid(z) - y.
-            let mut delta = vec![sigmoid(zs[nl - 1][0]) - y as f64];
+            s.delta.clear();
+            s.delta.push(sigmoid(out) - y as f64);
             for li in (0..nl).rev() {
-                let input = &acts[li];
-                for (r, &d) in delta.iter().enumerate() {
-                    grads_b[li][r] += d;
-                    let grow = grads_w[li].row_mut(r);
-                    for (gc, &xin) in grow.iter_mut().zip(input) {
+                let w = &self.layers[li].w;
+                let input = if li == 0 { x } else { &s.acts.hidden[li - 1] };
+                for (r, &d) in s.delta.iter().enumerate() {
+                    s.grads_b[li][r] += d;
+                    for (gc, &xin) in s.grads_w[li].row_mut(r).iter_mut().zip(input) {
                         *gc += d * xin;
                     }
                 }
                 if li > 0 {
-                    let mut next = vec![0.0; self.layers[li].w.cols()];
-                    for (r, &d) in delta.iter().enumerate() {
-                        let wrow = self.layers[li].w.row(r);
-                        for (nv, &w) in next.iter_mut().zip(wrow) {
-                            *nv += d * w;
+                    s.next.clear();
+                    s.next.resize(w.cols(), 0.0);
+                    for (r, &d) in s.delta.iter().enumerate() {
+                        for (nv, &wv) in s.next.iter_mut().zip(w.row(r)) {
+                            *nv += d * wv;
                         }
                     }
                     // ReLU derivative of the previous layer.
-                    for (nv, &z) in next.iter_mut().zip(&zs[li - 1]) {
+                    for (nv, &z) in s.next.iter_mut().zip(&s.acts.zs[li - 1]) {
                         if z <= 0.0 {
                             *nv = 0.0;
                         }
                     }
-                    delta = next;
+                    std::mem::swap(&mut s.delta, &mut s.next);
                 }
             }
         }
-        // Adam update.
+        // Adam update. Each gradient sum is taken (leaving zero behind for
+        // the next batch) as it is read.
         self.adam_t += 1;
         let t = self.adam_t as f64;
         let (b1, b2, eps): (f64, f64, f64) = (0.9, 0.999, 1e-8);
         let bc1 = 1.0 - b1.powf(t);
         let bc2 = 1.0 - b2.powf(t);
         let scale = 1.0 / idx.len() as f64;
-        for (li, layer) in self.layers.iter_mut().enumerate() {
-            for (r, &gb) in grads_b[li].iter().enumerate() {
-                for c in 0..layer.w.cols() {
-                    let g = grads_w[li].get(r, c) * scale + cfg.weight_decay * layer.w.get(r, c);
-                    let m = b1 * layer.mw.get(r, c) + (1.0 - b1) * g;
-                    let v = b2 * layer.vw.get(r, c) + (1.0 - b2) * g * g;
-                    layer.mw.set(r, c, m);
-                    layer.vw.set(r, c, v);
-                    let step = cfg.learning_rate * (m / bc1) / ((v / bc2).sqrt() + eps);
-                    layer.w.set(r, c, layer.w.get(r, c) - step);
+        let lr = cfg.learning_rate;
+        for ((layer, gw), gb) in self
+            .layers
+            .iter_mut()
+            .zip(&mut s.grads_w)
+            .zip(&mut s.grads_b)
+        {
+            for (r, gb) in gb.iter_mut().enumerate() {
+                let row = layer
+                    .w
+                    .row_mut(r)
+                    .iter_mut()
+                    .zip(layer.mw.row_mut(r))
+                    .zip(layer.vw.row_mut(r))
+                    .zip(gw.row_mut(r));
+                for (((w, mw), vw), gsum) in row {
+                    let g = std::mem::take(gsum) * scale + cfg.weight_decay * *w;
+                    let m = b1 * *mw + (1.0 - b1) * g;
+                    let v = b2 * *vw + (1.0 - b2) * g * g;
+                    *mw = m;
+                    *vw = v;
+                    *w -= lr * (m / bc1) / ((v / bc2).sqrt() + eps);
                 }
-                let g = gb * scale;
+                let g = std::mem::take(gb) * scale;
                 let m = b1 * layer.mb[r] + (1.0 - b1) * g;
                 let v = b2 * layer.vb[r] + (1.0 - b2) * g * g;
                 layer.mb[r] = m;
                 layer.vb[r] = v;
-                layer.b[r] -= cfg.learning_rate * (m / bc1) / ((v / bc2).sqrt() + eps);
+                layer.b[r] -= lr * (m / bc1) / ((v / bc2).sqrt() + eps);
             }
+        }
+    }
+}
+
+/// One forward pass's buffers: every layer's pre-activations and every
+/// hidden layer's ReLU outputs, sized from the topology.
+struct Activations {
+    /// `zs[l]`: layer `l`'s pre-activations.
+    zs: Vec<Vec<f64>>,
+    /// `hidden[l]`: layer `l`'s ReLU outputs, the input of layer `l + 1`.
+    hidden: Vec<Vec<f64>>,
+}
+
+impl Activations {
+    fn new(layers: &[Layer]) -> Activations {
+        let zs: Vec<Vec<f64>> = layers.iter().map(|l| vec![0.0; l.b.len()]).collect();
+        let hidden = zs[..zs.len() - 1].to_vec();
+        Activations { zs, hidden }
+    }
+}
+
+/// Everything a training run writes per sample and per batch, allocated
+/// once by [`Mlp::fit`] and reused by every [`Mlp::train_batch`].
+struct TrainScratch {
+    acts: Activations,
+    /// Backpropagated error at the current layer's outputs, and the one
+    /// being formed for the layer below.
+    delta: Vec<f64>,
+    next: Vec<f64>,
+    /// The batch's gradient sums, shaped like the weights and biases;
+    /// zero between batches.
+    grads_w: Vec<Matrix>,
+    grads_b: Vec<Vec<f64>>,
+}
+
+impl TrainScratch {
+    fn new(layers: &[Layer]) -> TrainScratch {
+        let widest = layers.iter().map(|l| l.w.cols().max(l.w.rows())).max();
+        let widest = widest.expect("an MLP has at least one layer");
+        TrainScratch {
+            acts: Activations::new(layers),
+            delta: Vec::with_capacity(widest),
+            next: Vec::with_capacity(widest),
+            grads_w: layers
+                .iter()
+                .map(|l| Matrix::zeros(l.w.rows(), l.w.cols()))
+                .collect(),
+            grads_b: layers.iter().map(|l| vec![0.0; l.b.len()]).collect(),
         }
     }
 }
@@ -407,6 +476,16 @@ mod tests {
             let p = mlp.predict_proba(data.sample(i).0);
             assert!((0.0..=1.0).contains(&p));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "MlpConfig::batch_size must be at least 1")]
+    fn zero_batch_size_rejected() {
+        let cfg = MlpConfig {
+            batch_size: 0,
+            ..MlpConfig::default()
+        };
+        let _ = Mlp::fit(&cfg, &xor_dataset(10), 1);
     }
 
     #[test]
